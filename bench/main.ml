@@ -968,17 +968,6 @@ let bechamel_suite () =
         Synth.run_random_actions t ~n:20 ~objects_per_action:2 ();
         Scheme.housekeep (Synth.scheme t) technique)
   in
-  let early_prepare_kernel ~early =
-    let scheme = Scheme.hybrid () in
-    let t = Synth.create ~seed:37 ~scheme ~n_objects:64 ~payload_bytes:64 () in
-    let i = ref 0 in
-    Staged.stage (fun () ->
-        incr i;
-        let idx = !i mod 64 in
-        ignore early;
-        Synth.run_action t ~indices:[ idx ] ~outcome:`Commit)
-  in
-  ignore early_prepare_kernel;
   let tests =
     Test.make_grouped ~name:"argus"
       [

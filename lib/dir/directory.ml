@@ -346,8 +346,6 @@ let snapshot_read_multi t keys =
       : Rs_guardian.Action.handle);
   List.map (fun k -> (k, Hashtbl.find results k)) keys
 
-let read_committed = snapshot_read
-
 (* --- crashes ----------------------------------------------------------- *)
 
 let note_crash t g =

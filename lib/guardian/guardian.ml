@@ -270,6 +270,9 @@ let restart t =
     Core.Tables.Recovery_report.measure (fun () -> Hybrid_rs.recover_parallel t.dir)
   in
   let info = report.Core.Tables.Recovery_report.info in
+  (* Recovery reopened the directory (label included): keep the fresh
+     handle, whose current log and segment registry match the stores. *)
+  t.dir <- Hybrid_rs.dir rs;
   t.rs <- rs;
   Metrics.incr m_restarts;
   Trace.emit

@@ -13,9 +13,11 @@ let m_write_rounds = Metrics.counter "stable_store.write_rounds"
 (* One overlapped write+verify round per logical put (mirror cost paid
    once, not twice); extra rounds only on decay/torn retries. *)
 
-(* Values are framed with a CRC so a torn physical page that the disk model
-   happens to keep readable would still be rejected; with our disk model
-   torn pages already read as Bad, so the CRC guards decode bugs. *)
+(* A page is framed as [u32 crc][string data]: a torn physical page that
+   the disk model happened to keep readable would fail the CRC (with our
+   disk model torn pages already read as Bad, so the CRC guards decode
+   bugs and corrupt bytes). The frame is a deterministic function of
+   [data], so two replicas holding the same bytes hold the same value. *)
 let frame data =
   let crc = Rs_util.Crc32.string data in
   let enc = Rs_util.Codec.Enc.create ~size:(String.length data + 8) () in
@@ -43,8 +45,16 @@ let pages t = max (Disk.pages t.a) (Disk.pages t.b)
 let check _t p name =
   if p < 0 then invalid_arg (Printf.sprintf "Stable_store.%s: negative page %d" name p)
 
-let read_rep disk p =
-  match Disk.read disk p with None -> None | Some s -> unframe s
+(* Both representatives of page [p], unframed. Replicas that read
+   byte-identical — every page a completed careful put leaves behind —
+   are unframed and CRC-checked once for the pair; otherwise each is
+   checked on its own. *)
+let read_pair t p =
+  match (Disk.read t.a p, Disk.read t.b p) with
+  | Some ra, Some rb when String.equal ra rb ->
+      let v = unframe ra in
+      (v, v)
+  | ra, rb -> (Option.bind ra unframe, Option.bind rb unframe)
 
 (* Read repair: a careful get that had to fall back to one replica
    rewrites the unreadable partner on the spot (decay would otherwise
@@ -60,7 +70,7 @@ let read_repair disk p data =
 let get t p =
   check t p "get";
   Metrics.incr m_gets;
-  match (read_rep t.a p, read_rep t.b p) with
+  match read_pair t p with
   | Some va, Some vb ->
       (* A crash between the two careful writes leaves B readable but
          stale; A is written first, so A is never older. Mend B now rather
@@ -107,11 +117,15 @@ let put t p data =
      with our deterministic disks one round suffices unless decay
      intervenes, in which case only the failed replica retries).
 
+     A re-read verifies by comparing its bytes with [framed], the bytes
+     just written: the disk returns either those bytes or nothing, so the
+     one CRC computed by [frame] serves the whole put.
+
      The recovery invariant "when both replicas are readable, A is never
      older than B" is preserved: within every round the write to A is
      issued before the write to B, so a crash mid-round can tear B with A
      already new, but never the reverse. *)
-  let ok disk = match read_rep disk p with Some v -> String.equal v data | None -> false in
+  let ok disk = match Disk.read disk p with Some s -> String.equal s framed | None -> false in
   let rec round need_a need_b attempts =
     if attempts = 0 then failwith "Stable_store.put: persistent device failure";
     if need_a then write_phys t t.a p framed;
@@ -131,7 +145,7 @@ let recover t =
     Disk.write disk p framed
   in
   for p = 0 to pages t - 1 do
-    match (read_rep t.a p, read_rep t.b p) with
+    match read_pair t p with
     | Some va, Some vb ->
         if not (String.equal va vb) then
           (* A crash fell between the two careful writes: A holds the newer
@@ -162,7 +176,7 @@ let disks t = (t.a, t.b)
 let agreement_issues t =
   let issues = ref [] in
   for p = pages t - 1 downto 0 do
-    match (read_rep t.a p, read_rep t.b p) with
+    match read_pair t p with
     | Some va, Some vb ->
         if not (String.equal va vb) then
           issues := (p, Printf.sprintf "replicas diverge (%d vs %d bytes)"

@@ -1,27 +1,21 @@
+(* The 32-bit register lives in a native int (63 bits on the 64-bit hosts
+   this code targets), so the byte loop works on immediates and allocates
+   nothing; only the result is boxed into an [int32]. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let update crc b =
-  let table = Lazy.force table in
-  let idx = Int32.to_int (Int32.logand (Int32.logxor crc (Int32.of_int b)) 0xFFl) in
-  Int32.logxor table.(idx) (Int32.shift_right_logical crc 8)
-
-let bytes ?(off = 0) ?len b =
-  let len = match len with Some l -> l | None -> Bytes.length b - off in
-  if off < 0 || len < 0 || off + len > Bytes.length b then
-    invalid_arg "Crc32.bytes: out of bounds";
-  let crc = ref 0xFFFFFFFFl in
+let string ?(off = 0) ?len s =
+  let len = match len with Some l -> l | None -> String.length s - off in
+  if off < 0 || len < 0 || off + len > String.length s then
+    invalid_arg "Crc32.string: out of bounds";
+  let crc = ref 0xFFFFFFFF in
   for i = off to off + len - 1 do
-    crc := update !crc (Char.code (Bytes.unsafe_get b i))
+    let idx = (!crc lxor Char.code (String.unsafe_get s i)) land 0xFF in
+    crc := Array.unsafe_get table idx lxor (!crc lsr 8)
   done;
-  Int32.logxor !crc 0xFFFFFFFFl
-
-let string ?off ?len s = bytes ?off ?len (Bytes.unsafe_of_string s)
+  Int32.of_int (!crc lxor 0xFFFFFFFF)

@@ -63,6 +63,26 @@ let test_placement_range_strategy () =
   Alcotest.(check int) "key suffix routes by range" 2
     (Gid.to_int (Placement.shard_of_key p "obj25"))
 
+(* Hash routing is part of the persistent layout: a key that moved shard
+   would strand its object on the old guardian. Pinned for seed 0 over 5
+   shards and seed 7 over 8 shards. *)
+let test_placement_golden () =
+  let p5 = Placement.create ~seed:0 ~shards:(gids 5) () in
+  let p8 = Placement.create ~seed:7 ~shards:(gids 8) () in
+  List.iter
+    (fun (k, s5, s8) ->
+      Alcotest.(check int) (Printf.sprintf "%S on 5 shards" k) s5
+        (Gid.to_int (Placement.shard_of_key p5 k));
+      Alcotest.(check int) (Printf.sprintf "%S on 8 shards" k) s8
+        (Gid.to_int (Placement.shard_of_key p8 k)))
+    [
+      ("obj0", 3, 6); ("obj1", 3, 0); ("obj2", 0, 3); ("obj3", 1, 6); ("obj7", 0, 2);
+      ("obj42", 3, 0); ("obj99", 1, 4); ("obj100", 2, 4); ("obj255", 1, 3);
+      ("obj1023", 0, 1); ("acct:alice", 1, 1); ("acct:bob", 4, 2); ("queue/head", 1, 2);
+      ("queue/tail", 0, 2); ("", 0, 3); ("x", 3, 5); ("hello world", 2, 5);
+      ("\xff\xfe\x00binary", 2, 4); ("saga-17", 1, 2); ("k", 4, 3);
+    ]
+
 (* --- allocator --------------------------------------------------------- *)
 
 let test_allocator_unique_uids () =
@@ -253,6 +273,7 @@ let suite =
     Alcotest.test_case "placement is deterministic" `Quick test_placement_deterministic;
     Alcotest.test_case "placement covers all shards" `Quick test_placement_covers_all_shards;
     Alcotest.test_case "range strategy partitions spans" `Quick test_placement_range_strategy;
+    Alcotest.test_case "hash routing golden vector" `Quick test_placement_golden;
     Alcotest.test_case "allocator mints unique uids" `Quick test_allocator_unique_uids;
     Alcotest.test_case "batch exhaustion across crash" `Quick test_batch_exhaustion_across_crash;
     Alcotest.test_case "cross-shard, non-coordinator steps" `Quick

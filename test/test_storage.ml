@@ -81,15 +81,15 @@ let test_store_decay_repair () =
       (Store.get s p)
   done
 
+let repairs () =
+  Option.value ~default:0
+    (Rs_obs.Metrics.find_counter Rs_obs.Metrics.default "stable_store.repairs")
+
 (* A careful get is itself a repair point: decay one replica of a pair
    and the next get must rewrite it from the good copy (bumping the
    stable_store.repairs counter) — so repeated single-replica decay
    never accumulates into a double failure. *)
 let test_store_get_read_repair () =
-  let repairs () =
-    Option.value ~default:0
-      (Rs_obs.Metrics.find_counter Rs_obs.Metrics.default "stable_store.repairs")
-  in
   let rng = Rng.create 7 in
   let s = Store.create ~pages:8 () in
   for p = 0 to 7 do
@@ -113,10 +113,6 @@ let test_store_get_read_repair () =
    but divergent — A new, B stale. A careful get must return A (never
    older than B) and mend B in place, counted as a repair. *)
 let test_store_get_repairs_divergent_readable () =
-  let repairs () =
-    Option.value ~default:0
-      (Rs_obs.Metrics.find_counter Rs_obs.Metrics.default "stable_store.repairs")
-  in
   let s = Store.create ~pages:4 () in
   Store.put s 2 "old";
   let _, b = Store.disks s in
@@ -134,6 +130,75 @@ let test_store_get_repairs_divergent_readable () =
   Alcotest.(check (list (pair int string))) "replicas agree again" []
     (Store.agreement_issues s);
   Alcotest.(check (option string)) "stable afterwards" (Some "new") (Store.get s 2)
+
+(* The framed bytes a careful put of [data] leaves on each replica, taken
+   from a store on deterministic disks (the frame depends on [data] only). *)
+let framed_of data =
+  let s = Store.create ~pages:1 () in
+  Store.put s 0 data;
+  Option.get (Disk.read (fst (Store.disks s)) 0)
+
+(* Under decay, a put's verify re-read can find its replica bad. Only that
+   replica is rewritten — one extra physical write per decayed re-read on
+   that disk and none on its partner — and when the put returns both
+   replicas hold the framed value. *)
+let test_store_put_retries_failed_replica () =
+  let rng = Rng.create 5 in
+  let s = Store.create ~rng ~decay_prob:0.25 ~pages:8 () in
+  let a, b = Store.disks s in
+  let tally d =
+    let st = Disk.stats d in
+    (st.writes, st.decays)
+  in
+  let retried = ref 0 in
+  for i = 0 to 39 do
+    let p = i mod 8 and data = Printf.sprintf "value-%d" i in
+    let wa, da = tally a and wb, db = tally b in
+    Store.put s p data;
+    let wa', da' = tally a and wb', db' = tally b in
+    Alcotest.(check int) (Printf.sprintf "put %d: writes on a" i) (1 + da' - da) (wa' - wa);
+    Alcotest.(check int) (Printf.sprintf "put %d: writes on b" i) (1 + db' - db) (wb' - wb);
+    retried := !retried + (da' - da) + (db' - db);
+    (* Both replicas hold [data]; a read that itself decays the page
+       reads None and is counted as a decay. *)
+    let framed = framed_of data in
+    List.iter
+      (fun (name, d) ->
+        let decays = (Disk.stats d).decays in
+        match Disk.read d p with
+        | Some got -> Alcotest.(check string) (Printf.sprintf "put %d: replica %s" i name) framed got
+        | None ->
+            Alcotest.(check int) (Printf.sprintf "put %d: replica %s decayed on read" i name)
+              (decays + 1) (Disk.stats d).decays)
+      [ ("a", a); ("b", b) ]
+  done;
+  Alcotest.(check bool) "some verify re-read failed and was retried" true (!retried > 0)
+
+(* Byte-identical replicas are checked once for the pair: a get returns
+   the value with no repair, and identical corrupt replicas still fail
+   the CRC — nothing unchecked is ever returned. *)
+let test_store_get_identical_replicas () =
+  let s = Store.create ~pages:2 () in
+  Store.put s 0 "steady";
+  let before = repairs () in
+  Alcotest.(check (option string)) "value" (Some "steady") (Store.get s 0);
+  Alcotest.(check int) "no repair" before (repairs ());
+  let a, b = Store.disks s in
+  let framed = framed_of "steady" in
+  let corrupt = Bytes.of_string framed in
+  let last = Bytes.length corrupt - 1 in
+  Bytes.set corrupt last (Char.chr (Char.code (Bytes.get corrupt last) lxor 1));
+  let corrupt = Bytes.to_string corrupt in
+  Disk.write a 1 corrupt;
+  Disk.write b 1 corrupt;
+  Alcotest.(check (option string)) "identical corrupt replicas read as lost" None
+    (Store.get s 1);
+  Alcotest.(check int) "nothing to repair from" before (repairs ());
+  Alcotest.(check (list (pair int string))) "identical replicas agree" []
+    (Store.agreement_issues s);
+  Store.recover s;
+  Alcotest.(check int) "recover repairs nothing" before (repairs ());
+  Alcotest.(check (option string)) "good page untouched" (Some "steady") (Store.get s 0)
 
 let test_store_crash_between_pages () =
   (* A multi-page update interrupted between logical pages: each page
@@ -182,5 +247,8 @@ let suite =
     Alcotest.test_case "store get repairs divergent replicas" `Quick
       test_store_get_repairs_divergent_readable;
     Alcotest.test_case "store crash between pages" `Quick test_store_crash_between_pages;
+    Alcotest.test_case "store put retries only the failed replica" `Quick
+      test_store_put_retries_failed_replica;
+    Alcotest.test_case "store get on identical replicas" `Quick test_store_get_identical_replicas;
     QCheck_alcotest.to_alcotest prop_store_atomic_random;
   ]

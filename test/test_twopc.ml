@@ -65,6 +65,21 @@ let test_commit_survives_all_crashes () =
   Alcotest.(check (option int)) "x recovered" (Some 10) (stable_int (System.guardian sys (g 0)) "x");
   Alcotest.(check (option int)) "y recovered" (Some 20) (stable_int (System.guardian sys (g 1)) "y")
 
+(* Restart recovers through a reopened log directory; the guardian must
+   hold that handle afterwards, not the one from before the crash. *)
+let test_restart_refreshes_log_dir () =
+  let sys = System.create ~n:2 () in
+  let _ = submit_and_wait sys ~coordinator:(g 0) ~steps:[ (g 0, set_var "x" 1) ] in
+  System.crash sys (g 0);
+  ignore (System.restart sys (g 0));
+  let gd = System.guardian sys (g 0) in
+  let rs_dir = Core.Hybrid_rs.dir (Guardian.rs gd) in
+  Alcotest.(check bool) "log_dir is the recovered directory" true (Guardian.log_dir gd == rs_dir);
+  Alcotest.(check int) "live segments agree"
+    (Rs_slog.Log_dir.live_segments rs_dir)
+    (Rs_slog.Log_dir.live_segments (Guardian.log_dir gd));
+  Alcotest.(check string) "label kept" "G0" (Rs_slog.Log_dir.label (Guardian.log_dir gd))
+
 let test_participant_down_aborts () =
   let sys = System.create ~n:2 () in
   (* Seed committed state. *)
@@ -529,6 +544,7 @@ let suite =
   [
     Alcotest.test_case "distributed commit" `Quick test_distributed_commit;
     Alcotest.test_case "commit survives all crashing" `Quick test_commit_survives_all_crashes;
+    Alcotest.test_case "restart refreshes log_dir" `Quick test_restart_refreshes_log_dir;
     Alcotest.test_case "participant down aborts" `Quick test_participant_down_aborts;
     Alcotest.test_case "crash before prepare arrives" `Quick test_participant_crash_before_prepare_arrives;
     Alcotest.test_case "crash matrix: participant" `Slow (crash_matrix (g 1));

@@ -67,7 +67,74 @@ let test_crc32_known () =
   Alcotest.(check int32) "crc32 vector" 0xCBF43926l (Crc32.string "123456789");
   Alcotest.(check int32) "empty" 0l (Crc32.string "");
   Alcotest.(check bool) "substring" true
-    (Crc32.string ~off:1 ~len:3 "x123y" = Crc32.string "123")
+    (Crc32.string ~off:1 ~len:3 "x123y" = Crc32.string "123");
+  (* Pinned values (several with bit 31 set, i.e. negative as int32):
+     stable-store frames and placement hashes are built from these
+     checksums, so they must never change. *)
+  List.iter
+    (fun (s, crc) -> Alcotest.(check int32) (Printf.sprintf "crc32 %S" s) crc (Crc32.string s))
+    [
+      ("a", 0xE8B7BE43l);
+      ("abc", 0x352441C2l);
+      ("The quick brown fox jumps over the lazy dog", 0x414FA339l);
+      ("obj0", 0xB0999486l);
+      ("acct:bob", 0xD4136258l);
+      ("\xff\xfe\x00binary", 0x3285563Bl);
+      (String.make 1024 '\xff', 0xB83AFFF4l);
+      (String.init 256 Char.chr, 0x29058C73l);
+    ];
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "out of bounds off=%d len=%d" off len)
+        (Invalid_argument "Crc32.string: out of bounds")
+        (fun () -> ignore (Crc32.string ~off ~len "abcd")))
+    [ (-1, 2); (0, 5); (3, 2); (5, 0); (1, -1) ]
+
+(* Bit-at-a-time CRC-32 over the reflected polynomial, with no table: the
+   independent reference the table-driven implementation must match. About
+   half of random inputs have a checksum with bit 31 set; the pinned
+   vectors above include such inputs too. *)
+let crc32_reference ?(off = 0) ?len s =
+  let len = Option.value len ~default:(String.length s - off) in
+  let crc = ref 0xFFFFFFFFl in
+  for i = off to off + len - 1 do
+    crc := Int32.logxor !crc (Int32.of_int (Char.code s.[i]));
+    for _ = 0 to 7 do
+      let lsb = Int32.logand !crc 1l in
+      crc := Int32.shift_right_logical !crc 1;
+      if lsb <> 0l then crc := Int32.logxor !crc 0xEDB88320l
+    done
+  done;
+  Int32.logxor !crc 0xFFFFFFFFl
+
+let prop_crc32_reference =
+  let gen =
+    QCheck.Gen.(
+      string_size ~gen:char (int_range 0 300) >>= fun s ->
+      let n = String.length s in
+      int_range 0 n >>= fun off ->
+      int_range 0 (n - off) >>= fun len ->
+      bool >|= fun whole -> (s, off, len, whole))
+  in
+  let print (s, off, len, whole) =
+    Printf.sprintf "%S off=%d len=%d whole=%b" s off len whole
+  in
+  QCheck.Test.make ~name:"crc32 matches the bitwise reference" ~count:1000
+    (QCheck.make ~print gen) (fun (s, off, len, whole) ->
+      if whole then Crc32.string s = crc32_reference s
+      else Crc32.string ~off ~len s = crc32_reference ~off ~len s)
+
+(* The checksum sits on every careful write: after warm-up, a 1 KiB CRC
+   allocates only its boxed int32 result. *)
+let test_crc32_allocation () =
+  let kib = String.init 1024 (fun i -> Char.chr (i land 0xff)) in
+  ignore (Sys.opaque_identity (Crc32.string kib));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Crc32.string kib));
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "1 KiB crc allocates %.0f words (< 16)" words) true
+    (words < 16.)
 
 let test_vec () =
   let v = Vec.create () in
@@ -236,6 +303,7 @@ let suite =
     Alcotest.test_case "composite codecs" `Quick test_composites;
     Alcotest.test_case "decode errors" `Quick test_decode_errors;
     Alcotest.test_case "crc32 vectors" `Quick test_crc32_known;
+    Alcotest.test_case "crc32 allocation-free" `Quick test_crc32_allocation;
     Alcotest.test_case "vec operations" `Quick test_vec;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
@@ -245,4 +313,5 @@ let suite =
     Alcotest.test_case "lru edge cases" `Quick test_lru_edge_cases;
     QCheck_alcotest.to_alcotest prop_varint;
     QCheck_alcotest.to_alcotest prop_string;
+    QCheck_alcotest.to_alcotest prop_crc32_reference;
   ]
