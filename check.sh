@@ -9,6 +9,30 @@ set -e
 
 cd "$(dirname "$0")"
 
+# Dumps that carry wall-clock gauges are written here, not over their
+# committed artifacts, so a run leaves the tree clean.
+BENCH_TMP=$(mktemp -d)
+trap 'rm -rf "$BENCH_TMP"' EXIT
+
+# same_as_committed FRESH COMMITTED WALL_REGEX: every key of the fresh
+# dump equals the committed artifact exactly, except the gauges whose
+# name fully matches WALL_REGEX (wall-clock times, which drift run to run).
+same_as_committed() {
+  python3 - "$1" "$2" "$3" <<'EOF'
+import json, re, sys
+fresh, committed = (json.load(open(p)) for p in sys.argv[1:3])
+wall = re.compile(sys.argv[3])
+def keyed(d):
+    return {(sec, k): v for sec, kv in d.items() for k, v in kv.items()
+            if not (sec == "gauges" and wall.fullmatch(k))}
+f, c = keyed(fresh), keyed(committed)
+diff = sorted(k for k in f.keys() | c.keys() if f.get(k) != c.get(k))
+assert not diff, f"{sys.argv[2]} drifted: " + ", ".join(
+    f"{s}.{k}: {c.get((s, k))} -> {f.get((s, k))}" for s, k in diff[:10])
+print(f"{sys.argv[2]}: all {len(c)} deterministic keys match")
+EOF
+}
+
 echo "== dune build =="
 dune build
 
@@ -177,17 +201,19 @@ else
   echo "shards ok (python3 unavailable; key presence checked only)"
 fi
 
-echo "== bench smoke: e12 --metrics-json -> BENCH_7.json =="
+echo "== bench smoke: e12 --metrics-json, checked against BENCH_7.json =="
 # Committed artifact: e12 measures the replication pair — ship overhead
 # on the commit path, then failover vs cold restart over an identical
 # history. Counters (ship bytes, applies, failovers) are seeded and
 # deterministic; the us gauges are wall-clock and drift run to run, but
 # the gate they carry — promoting the warm standby strictly beats
 # replaying the log — holds with a wide margin at this history length.
-dune exec bench/main.exe -- e12 --metrics-json BENCH_7.json >/dev/null
+# The fresh dump is gated, then must equal BENCH_7.json except for the
+# e12.*.us gauges.
+dune exec bench/main.exe -- e12 --metrics-json "$BENCH_TMP/BENCH_7.json" >/dev/null
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 - BENCH_7.json <<'EOF'
+  python3 - "$BENCH_TMP/BENCH_7.json" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
 g, c = d["gauges"], d["counters"]
@@ -201,21 +227,23 @@ assert fo < cold, \
 print(f"repl ok: {g['e12.ship_bytes']} bytes shipped, failover {fo}us < "
       f"cold {cold}us over {g['e12.cold.entries']} replayed entries")
 EOF
+  same_as_committed "$BENCH_TMP/BENCH_7.json" BENCH_7.json 'e12\..*\.us'
 else
-  grep -q '"repl.ship_bytes": [1-9]' BENCH_7.json ||
+  grep -q '"repl.ship_bytes": [1-9]' "$BENCH_TMP/BENCH_7.json" ||
     { echo "repl.ship_bytes missing or zero"; exit 1; }
   echo "repl ok (python3 unavailable; key presence checked only)"
 fi
 
-echo "== bench smoke: e13 --metrics-json -> BENCH_8.json =="
+echo "== bench smoke: e13 --metrics-json, checked against BENCH_8.json =="
 # Committed artifact: e13 measures bounded restart. Entry and read-op
 # counts are deterministic; the us gauges drift run to run, so the
 # wall-clock gates carry generous constant factors while the flatness
-# and read-operation gates are exact.
-dune exec bench/main.exe -- e13 --metrics-json BENCH_8.json >/dev/null
+# and read-operation gates are exact. The fresh dump is gated, then must
+# equal BENCH_8.json except for the e13.*_us gauges.
+dune exec bench/main.exe -- e13 --metrics-json "$BENCH_TMP/BENCH_8.json" >/dev/null
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 - BENCH_8.json <<'EOF'
+  python3 - "$BENCH_TMP/BENCH_8.json" <<'EOF'
 import json, sys
 g = json.load(open(sys.argv[1]))["gauges"]
 # Incremental checkpointing bounds the live log: entries visited and log
@@ -241,11 +269,12 @@ print(f"bounded restart ok: inc flat at {g['e13.inc.c10.entries']} entries while
       f"nohk grew to {g['e13.nohk.c10.entries']}; scan {scan} read ops vs "
       f"serial {ser} ({pus}us vs {sus}us)")
 EOF
+  same_as_committed "$BENCH_TMP/BENCH_8.json" BENCH_8.json 'e13\..*_us'
 else
-  grep -q '"e13.inc.c10.entries": ' BENCH_8.json ||
+  grep -q '"e13.inc.c10.entries": ' "$BENCH_TMP/BENCH_8.json" ||
     { echo "e13 gauges missing"; exit 1; }
-  [ "$(grep -o '"e13.inc.c10.entries": [0-9]*' BENCH_8.json | grep -o '[0-9]*$')" = \
-    "$(grep -o '"e13.inc.c2.entries": [0-9]*' BENCH_8.json | grep -o '[0-9]*$')" ] ||
+  [ "$(grep -o '"e13.inc.c10.entries": [0-9]*' "$BENCH_TMP/BENCH_8.json" | grep -o '[0-9]*$')" = \
+    "$(grep -o '"e13.inc.c2.entries": [0-9]*' "$BENCH_TMP/BENCH_8.json" | grep -o '[0-9]*$')" ] ||
     { echo "inc recovery entries not flat across cycles"; exit 1; }
   echo "bounded restart ok (python3 unavailable; flatness checked only)"
 fi

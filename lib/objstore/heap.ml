@@ -131,6 +131,8 @@ type body =
 
 type obj = { uid : Uid.t option; body : body }
 
+module Names = Hashtbl.Make (String)
+
 (* Hooks installed by a scheduling runtime (Rs_guardian.System). [block]
    suspends the calling action until the lock has been transferred to it
    (true) or the wait was cancelled — timeout or crash — (false); [wake]
@@ -173,6 +175,12 @@ type t = {
   ro : snapshot Aid.Tbl.t;
   chained : (addr, unit) Hashtbl.t;
   heap_id : int;
+  (* Stable-variable index: name -> slot of its first binding in the root
+     version [var_root] (compared by physical identity). Sound because a
+     committed root version is never mutated in place, except by
+     placeholder patching, which never renames a binding. *)
+  mutable var_root : Value.t array;
+  mutable var_slot : int Names.t;
 }
 
 exception Lock_conflict of { addr : addr; holders : Aid.t list }
@@ -219,6 +227,8 @@ let create () =
       ro = Aid.Tbl.create 8;
       chained = Hashtbl.create 16;
       heap_id = !heap_ids;
+      var_root = [||];
+      var_slot = Names.create 1;
     }
   in
   let root =
@@ -823,42 +833,101 @@ let writer_of t a =
   | B_atomic { a_lock = Write holder; _ } -> Some holder
   | B_atomic _ | B_mutex _ | B_regular _ | B_placeholder _ -> None
 
-(* Stable variables: the root's version is a tuple of (name, value) pairs. *)
+(* Stable variables: the root's version is a tuple of (name, value) pairs.
+   Elements of any other shape are ignored, and the first binding of a
+   name wins. *)
 
-let bindings_of = function
-  | Value.Tup pairs ->
-      Array.to_list pairs
-      |> List.filter_map (function
-           | Value.Tup [| Value.Str name; v |] -> Some (name, v)
-           | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Tup _
-           | Value.Ref _ ->
-               None)
-  | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Ref _ -> []
+let scan_var vs name =
+  let rec go i =
+    if i = Array.length vs then None
+    else
+      match vs.(i) with
+      | Value.Tup [| Value.Str n; v |] when String.equal n name -> Some v
+      | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Tup _ | Value.Ref _ ->
+          go (i + 1)
+  in
+  go 0
 
-let of_bindings bs =
-  Value.Tup (Array.of_list (List.map (fun (name, v) -> Value.Tup [| Value.Str name; v |]) bs))
+(* Point the index at root version [vs], rebuilding it if it was built
+   from another array. Slots are added last to first: [Names.find] returns
+   the latest [add] of a name, which is then its first binding. *)
+let index_vars t vs =
+  if t.var_root != vs then begin
+    let slots = Names.create (Array.length vs) in
+    for i = Array.length vs - 1 downto 0 do
+      match vs.(i) with
+      | Value.Tup [| Value.Str name; _ |] -> Names.add slots name i
+      | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Tup _ | Value.Ref _ -> ()
+    done;
+    t.var_root <- vs;
+    t.var_slot <- slots
+  end
 
+(* Look [name] up in root version [v]. The index serves the root's newest
+   committed version; an older version still pinned by a snapshot is
+   scanned, so snapshot readers cannot make the index thrash. *)
+let find_var t v name =
+  match (v, (atomic t t.root "find_var").a_base) with
+  | Value.Tup vs, Value.Tup base when vs == base -> (
+      index_vars t vs;
+      match Names.find t.var_slot name with
+      | exception Not_found -> None
+      | i -> (
+          match vs.(i) with
+          | Value.Tup [| Value.Str n; v |] when String.equal n name -> Some v
+          | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Tup _ | Value.Ref _ ->
+              scan_var vs name))
+  | Value.Tup vs, _ -> scan_var vs name
+  | (Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Ref _), _ -> None
+
+(* The new binding first, then every other binding in order: the first
+   binding of [name] is replaced and non-binding elements are dropped. The
+   kept pair tuples are shared with the action's current version, which
+   [write_lock] already copied from the base. *)
 let set_stable_var t aid name v =
   write_lock t aid t.root;
-  let b = atomic t t.root "set_stable_var" in
-  let cur = match b.a_cur with Some c -> c | None -> b.a_base in
-  let bs = bindings_of cur in
-  let bs = (name, v) :: List.remove_assoc name bs in
-  set_current t aid t.root (of_bindings bs)
+  let vs =
+    match (atomic t t.root "set_stable_var").a_cur with
+    | Some (Value.Tup vs) -> vs
+    | Some (Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Ref _) | None -> [||]
+  in
+  let slot = ref (-1) and kept = ref 0 in
+  Array.iteri
+    (fun i -> function
+      | Value.Tup [| Value.Str n; _ |] ->
+          if !slot < 0 && String.equal n name then slot := i else incr kept
+      | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Tup _ | Value.Ref _ -> ())
+    vs;
+  let out = Array.make (!kept + 1) (Value.Tup [| Value.Str name; v |]) in
+  let j = ref 1 in
+  Array.iteri
+    (fun i x ->
+      match x with
+      | Value.Tup [| Value.Str _; _ |] when i <> !slot ->
+          out.(!j) <- x;
+          incr j
+      | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Tup _ | Value.Ref _ -> ())
+    vs;
+  set_current t aid t.root (Value.Tup out)
 
-let get_stable_var t name =
-  let b = atomic t t.root "get_stable_var" in
-  List.assoc_opt name (bindings_of b.a_base)
+let get_stable_var t name = find_var t (atomic t t.root "get_stable_var").a_base name
 
 (* Snapshot view of the stable-variable bindings: reads the root through
    the snapshot, so the binding and any value read under the same snapshot
    form one consistent committed cut. *)
-let snapshot_var t s name = List.assoc_opt name (bindings_of (snapshot_read t s t.root))
-let committed_var t name = with_snapshot t (fun s -> snapshot_var t s name)
+let snapshot_var t s name = find_var t (snapshot_read t s t.root) name
 
 let stable_var_names t =
-  let b = atomic t t.root "stable_var_names" in
-  List.map fst (bindings_of b.a_base)
+  match (atomic t t.root "stable_var_names").a_base with
+  | Value.Tup vs ->
+      Array.fold_right
+        (fun x acc ->
+          match x with
+          | Value.Tup [| Value.Str name; _ |] -> name :: acc
+          | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Tup _ | Value.Ref _ ->
+              acc)
+        vs []
+  | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Ref _ -> []
 
 (* Recovery-time interface *)
 

@@ -175,7 +175,9 @@ val snapshot_read : t -> snapshot -> addr -> Value.t
 val snapshot_var : t -> snapshot -> string -> Value.t option
 (** Stable-variable binding as of the snapshot (the root object is
     versioned like any other atomic object, so a binding and the value
-    read through it under one snapshot form a single consistent cut). *)
+    read through it under one snapshot form a single consistent cut). The
+    root is read through {!snapshot_read}; the lookup itself is the O(1)
+    one described under {!get_stable_var}. *)
 
 val with_snapshot : t -> (snapshot -> 'a) -> 'a
 (** Open, run, release (also on exception). *)
@@ -183,9 +185,6 @@ val with_snapshot : t -> (snapshot -> 'a) -> 'a
 val committed_read : t -> addr -> Value.t
 (** [with_snapshot t (fun s -> snapshot_read t s a)]: the latest committed
     version — the one unified committed-peek used by tools and tests. *)
-
-val committed_var : t -> string -> Value.t option
-(** Latest committed stable-variable binding via a throwaway snapshot. *)
 
 val begin_read_only : t -> Rs_util.Aid.t -> snapshot -> unit
 (** Register [aid] as read-only under [s]: its {!read_atomic} calls become
@@ -245,10 +244,24 @@ val abort_action : t -> Rs_util.Aid.t -> unit
 val holds_write : t -> Rs_util.Aid.t -> addr -> bool
 val writer_of : t -> addr -> Rs_util.Aid.t option
 
-(** {1 Stable variables} *)
+(** {1 Stable variables}
+
+    The root object's version is a tuple of [(name, value)] pairs. Elements
+    of any other shape are ignored, and the first binding of a name wins.
+
+    Lookups are O(1) and allocate nothing beyond their result: the heap
+    keeps a [name -> slot] index of the root version it was built from,
+    recognised by the physical identity of that version's tuple array, and
+    rebuilds it lazily when the root's newest committed version changes.
+    An older version still pinned by a snapshot is scanned instead. The
+    index relies on one invariant: a committed root version is never
+    mutated in place, except by placeholder patching
+    ({!patch_placeholders}), which never changes a binding's name. *)
 
 val set_stable_var : t -> Rs_util.Aid.t -> string -> Value.t -> unit
-(** Bind a stable variable in the root object (write-locks the root). *)
+(** Bind a stable variable in the root object (write-locks the root). The
+    new current version holds the new binding first, then every other
+    binding in its existing order; non-binding elements are dropped. *)
 
 val get_stable_var : t -> string -> Value.t option
 (** Committed binding of a stable variable (from the root's base version,
@@ -256,6 +269,7 @@ val get_stable_var : t -> string -> Value.t option
     want their own view; this is the base view used after recovery). *)
 
 val stable_var_names : t -> string list
+(** Names of the committed root's bindings, in tuple order. *)
 
 (** {1 Recovery-time interface} *)
 

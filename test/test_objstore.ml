@@ -143,6 +143,218 @@ let test_stable_vars () =
   | Some _ | None -> Alcotest.fail "missing binding");
   Alcotest.(check (list string)) "names" [ "balance" ] (Heap.stable_var_names h)
 
+(* --- Stable-variable lookup against the list-built reference ------------ *)
+
+(* The reference model: the root tuple as a list of elements, updated the
+   way the list-based setter did — the new binding first, then the
+   surviving bindings with the first one of the name removed and
+   non-binding elements dropped. *)
+let ref_bindings elts =
+  List.filter_map
+    (function
+      | Value.Tup [| Value.Str n; v |] -> Some (n, v)
+      | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Tup _ | Value.Ref _ -> None)
+    elts
+
+let binding n v = Value.Tup [| Value.Str n; v |]
+
+let ref_set elts name v =
+  List.map (fun (n, v) -> binding n v) ((name, v) :: List.remove_assoc name (ref_bindings elts))
+
+let opt_equal a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> Value.equal_shape x y
+  | Some _, None | None, Some _ -> false
+
+let show_opt = function None -> "None" | Some v -> Format.asprintf "Some %a" Value.pp v
+
+(* A root holding a duplicate name ("a") and a non-binding element. *)
+let odd_root =
+  [ binding "a" (Value.Int 1); Value.Int 7; binding "b" (Value.Int 2); binding "a" (Value.Int 3) ]
+
+(* Random sequences of new bindings, rebinds, commits, aborts, snapshot
+   opens, snapshot reads and recover round trips through the hybrid log.
+   After every step the heap's lookups must agree with the reference. *)
+let prop_stable_var_index =
+  let module Rs = Core.Hybrid_rs in
+  QCheck.Test.make ~name:"stable-var lookup = list-built reference" ~count:100
+    QCheck.(list_of_size Gen.(int_range 1 60) (pair small_nat small_nat))
+    (fun ops ->
+      let dir = Rs_slog.Log_dir.create ~page_size:256 () in
+      let rs = ref (Rs.create (Heap.create ()) dir) in
+      let heap () = Rs.heap !rs in
+      let seq = ref 0 in
+      let next_aid () =
+        incr seq;
+        aid !seq
+      in
+      let commit t =
+        Rs.prepare !rs t (Heap.mos (heap ()) t);
+        Rs.commit !rs t;
+        Heap.commit_action (heap ()) t
+      in
+      let t0 = next_aid () in
+      Heap.set_current (heap ()) t0 (Heap.root_addr (heap ())) (Value.Tup (Array.of_list odd_root));
+      commit t0;
+      let committed = ref odd_root in
+      let pending = ref None in
+      let snaps = ref [] in
+      let names = ref [ "a"; "b"; "missing" ] in
+      let fresh = ref 0 in
+      let check_view label lookup elts =
+        List.iter
+          (fun n ->
+            let want = List.assoc_opt n (ref_bindings elts) in
+            let got = lookup n in
+            if not (opt_equal got want) then
+              QCheck.Test.fail_reportf "%s %S: got %s, reference %s" label n (show_opt got)
+                (show_opt want))
+          !names
+      in
+      let check () =
+        let h = heap () in
+        check_view "get_stable_var" (Heap.get_stable_var h) !committed;
+        List.iter (fun (s, elts) -> check_view "snapshot_var" (Heap.snapshot_var h s) elts) !snaps;
+        if Heap.stable_var_names h <> List.map fst (ref_bindings !committed) then
+          QCheck.Test.fail_reportf "stable_var_names: [%s]"
+            (String.concat "; " (Heap.stable_var_names h));
+        let base = (Heap.atomic_view h (Heap.root_addr h)).base in
+        if not (Value.equal_shape base (Value.Tup (Array.of_list !committed))) then
+          QCheck.Test.fail_reportf "root layout differs: %a" Value.pp base
+      in
+      let set name v =
+        let t, elts =
+          match !pending with Some p -> p | None -> (next_aid (), !committed)
+        in
+        Heap.set_stable_var (heap ()) t name (Value.Int v);
+        pending := Some (t, ref_set elts name (Value.Int v))
+      in
+      List.iter
+        (fun (k, v) ->
+          (match k mod 7 with
+          | 0 | 1 ->
+              incr fresh;
+              let n = Printf.sprintf "n%d" !fresh in
+              names := n :: !names;
+              set n v
+          | 2 -> (
+              let view = match !pending with Some (_, e) -> e | None -> !committed in
+              match ref_bindings view with
+              | [] -> ()
+              | bs -> set (fst (List.nth bs (v mod List.length bs))) v)
+          | 3 -> (
+              match !pending with
+              | None -> ()
+              | Some (t, elts) ->
+                  if v mod 3 = 0 then Heap.abort_action (heap ()) t
+                  else begin
+                    commit t;
+                    committed := elts
+                  end;
+                  pending := None)
+          | 4 -> snaps := (Heap.snapshot (heap ()), !committed) :: !snaps
+          | 5 -> (
+              (* Read through one snapshot, most likely opened before later
+                 root commits. *)
+              match !snaps with
+              | [] -> ()
+              | l ->
+                  let s, elts = List.nth l (v mod List.length l) in
+                  check_view "old snapshot_var" (Heap.snapshot_var (heap ()) s) elts)
+          | _ ->
+              (* Crash and recover: the unprepared action and the volatile
+                 snapshots are lost. *)
+              pending := None;
+              snaps := [];
+              rs := fst (Rs.recover dir));
+          check ())
+        ops;
+      true)
+
+let test_root_layout () =
+  (* Golden bytes of the flattened root, computed with the list-based
+     setter: rebinds move the binding to the front, aborts leave nothing. *)
+  let golden = "1a030276000404000203027a010104040608030279020604040c0e0302780502040412140408040a101618" in
+  let h = Heap.create () in
+  let t1 = aid 1 and t2 = aid 2 and t3 = aid 3 in
+  let a = Heap.alloc_atomic h ~creator:t1 (Value.Int 1) in
+  Heap.set_stable_var h t1 "x" (Value.Ref a);
+  Heap.set_stable_var h t1 "y" (Value.Int 2);
+  Heap.set_stable_var h t1 "z" (Value.Str "zed");
+  Heap.set_stable_var h t1 "y" (Value.Int 3);
+  Heap.commit_action h t1;
+  Heap.set_stable_var h t2 "w" (Value.Int 4);
+  Heap.set_stable_var h t2 "x" (Value.Int 9);
+  Heap.abort_action h t2;
+  Heap.set_stable_var h t3 "z" (Value.Bool true);
+  Heap.set_stable_var h t3 "v" Value.Unit;
+  Heap.commit_action h t3;
+  let root = (Heap.atomic_view h (Heap.root_addr h)).base in
+  let expected =
+    Value.Tup
+      [|
+        binding "v" Value.Unit;
+        binding "z" (Value.Bool true);
+        binding "y" (Value.Int 3);
+        binding "x" (Value.Ref a);
+      |]
+  in
+  Alcotest.(check bool) "root layout" true (Value.equal_shape root expected);
+  let enc = Rs_util.Codec.Enc.create () in
+  Fvalue.encode enc (Flatten.flatten h root);
+  let bytes = Rs_util.Codec.Enc.contents enc in
+  let hex =
+    String.concat ""
+      (List.init (String.length bytes) (fun i -> Printf.sprintf "%02x" (Char.code bytes.[i])))
+  in
+  Alcotest.(check string) "flattened root bytes" golden hex
+
+let test_stale_slot_falls_back () =
+  (* The index trusts a slot only when the name stored there matches; a
+     committed root reordered in place is still read correctly. *)
+  let h = Heap.create () in
+  let t1 = aid 1 in
+  Heap.set_stable_var h t1 "x" (Value.Int 1);
+  Heap.set_stable_var h t1 "y" (Value.Int 2);
+  Heap.commit_action h t1;
+  Alcotest.(check bool) "index built" true (Heap.get_stable_var h "x" = Some (Value.Int 1));
+  (match (Heap.atomic_view h (Heap.root_addr h)).base with
+  | Value.Tup vs ->
+      let first = vs.(0) in
+      vs.(0) <- vs.(1);
+      vs.(1) <- first
+  | _ -> Alcotest.fail "root is not a tuple");
+  Alcotest.(check bool) "x after reorder" true (Heap.get_stable_var h "x" = Some (Value.Int 1));
+  Alcotest.(check bool) "y after reorder" true (Heap.get_stable_var h "y" = Some (Value.Int 2))
+
+let test_stable_var_alloc () =
+  (* Lookup allocates O(1) words at 2,048 variables: the result option for
+     get_stable_var, plus the snapshot read and its trace event for
+     snapshot_var. Measured with Gc.minor_words, which is exact. *)
+  let n = 2048 and calls = 4096 in
+  let h = Heap.create () in
+  let names = Array.init n (Printf.sprintf "var%d") in
+  let t1 = aid 1 in
+  Array.iteri (fun i name -> Heap.set_stable_var h t1 name (Value.Int i)) names;
+  Heap.commit_action h t1;
+  let per_call f =
+    ignore (Sys.opaque_identity (f 0));
+    let w0 = Gc.minor_words () in
+    for i = 0 to calls - 1 do
+      ignore (Sys.opaque_identity (f (i mod n)))
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int calls
+  in
+  let get = per_call (fun i -> Heap.get_stable_var h names.(i)) in
+  let s = Heap.snapshot h in
+  let snap = per_call (fun i -> Heap.snapshot_var h s names.(i)) in
+  Heap.release_snapshot h s;
+  Alcotest.(check bool) (Printf.sprintf "get_stable_var %.1f words < 16" get) true (get < 16.);
+  Alcotest.(check bool) (Printf.sprintf "snapshot_var %.1f words < 32" snap) true (snap < 32.);
+  Alcotest.(check bool) "lookups still correct" true
+    (Heap.get_stable_var h "var1234" = Some (Value.Int 1234))
+
 let test_reachable_uids () =
   let h = Heap.create () in
   let t1 = aid 1 in
@@ -410,6 +622,10 @@ let suite =
     Alcotest.test_case "mutex seize semantics" `Quick test_mutex_seize;
     Alcotest.test_case "MOS tracking" `Quick test_mos_tracking;
     Alcotest.test_case "stable variables" `Quick test_stable_vars;
+    QCheck_alcotest.to_alcotest prop_stable_var_index;
+    Alcotest.test_case "stable-variable root layout" `Quick test_root_layout;
+    Alcotest.test_case "stable-variable stale slot falls back" `Quick test_stale_slot_falls_back;
+    Alcotest.test_case "stable-variable lookup allocation" `Quick test_stable_var_alloc;
     Alcotest.test_case "reachable uids" `Quick test_reachable_uids;
     Alcotest.test_case "flatten replaces uids" `Quick test_flatten_replaces_uids;
     Alcotest.test_case "flatten/rebuild roundtrip" `Quick test_flatten_rebuild_roundtrip;
