@@ -9,6 +9,9 @@ set -e
 
 cd "$(dirname "$0")"
 
+# Every gate below is a python3 block over a metrics dump.
+command -v python3 >/dev/null 2>&1 || { echo "check.sh needs python3"; exit 1; }
+
 # Dumps that carry wall-clock gauges are written here, not over their
 # committed artifacts, so a run leaves the tree clean.
 BENCH_TMP=$(mktemp -d)
@@ -44,8 +47,7 @@ echo "== bench smoke: e1 --metrics-json -> BENCH_2.json =="
 # drift shows up as a diff.
 dune exec bench/main.exe -- e1 --metrics-json BENCH_2.json >/dev/null
 
-if command -v python3 >/dev/null 2>&1; then
-  python3 - BENCH_2.json <<'EOF'
+python3 - BENCH_2.json <<'EOF'
 import json, sys
 c = json.load(open(sys.argv[1]))["counters"]
 pw = c["stable_store.physical_writes"]
@@ -62,12 +64,6 @@ assert 0 < hybrid < simple, \
 print(f"metrics ok: physical_writes={pw} over {wr} rounds, "
       f"recovery entries hybrid={hybrid} < simple={simple}")
 EOF
-else
-  # No python3: at least require the key with a nonzero value.
-  grep -q '"stable_store.physical_writes": [1-9]' BENCH_2.json ||
-    { echo "stable_store.physical_writes missing or zero"; exit 1; }
-  echo "metrics ok (python3 unavailable; key presence checked only)"
-fi
 
 echo "== bench smoke: e7 e8 --metrics-json -> BENCH_3.json =="
 # Committed artifact: e7 exercises the 2PC/guardian counters (all zero in
@@ -75,8 +71,7 @@ echo "== bench smoke: e7 e8 --metrics-json -> BENCH_3.json =="
 # both are seeded and run on virtual time, so the JSON is deterministic.
 dune exec bench/main.exe -- e7 e8 --metrics-json BENCH_3.json >/dev/null
 
-if command -v python3 >/dev/null 2>&1; then
-  python3 - BENCH_3.json <<'EOF'
+python3 - BENCH_3.json <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))
 c, g = m["counters"], m["gauges"]
@@ -96,13 +91,6 @@ print(f"metrics ok: guardian.prepares={c['guardian.prepares']}, "
       f"guardian.commits={c['guardian.commits']}, "
       f"group_commits={c['slog.group_commits']}")
 EOF
-else
-  grep -q '"slog.group_commits": [1-9]' BENCH_3.json ||
-    { echo "slog.group_commits missing or zero"; exit 1; }
-  grep -q '"guardian.commits": [1-9]' BENCH_3.json ||
-    { echo "guardian.commits missing or zero"; exit 1; }
-  echo "metrics ok (python3 unavailable; key presence checked only)"
-fi
 
 echo "== bench smoke: e9 --metrics-json -> BENCH_4.json =="
 # Committed artifact: e9 measures log footprint and recovery cost versus
@@ -112,14 +100,13 @@ echo "== bench smoke: e9 --metrics-json -> BENCH_4.json =="
 # recovery, against a no-housekeeping control that grows in both.
 dune exec bench/main.exe -- e9 --metrics-json BENCH_4.json >/dev/null
 
-if command -v python3 >/dev/null 2>&1; then
-  python3 - BENCH_4.json <<'EOF'
+python3 - BENCH_4.json <<'EOF'
 import json, sys
 g = json.load(open(sys.argv[1]))["gauges"]
 def seg(c, k): return g[f"e9.seg.c{c}.{k}"]
 def nohk(c, k): return g[f"e9.nohk.c{c}.{k}"]
-# Reclamation bound: <= 2 live segments after 10 housekeeping cycles.
-assert seg(10, "live_segments") <= 2, \
+# Reclamation bound: 1-2 live segments after 10 housekeeping cycles.
+assert 1 <= seg(10, "live_segments") <= 2, \
     f"live segments not bounded: {seg(10, 'live_segments')} after 10 cycles"
 # Footprint is flat in history: 10 cycles cost no more pages than 2.
 assert seg(10, "live_pages") <= seg(2, "live_pages"), \
@@ -141,11 +128,6 @@ print(f"reclamation ok: live_segments={seg(10, 'live_segments')} (<=2), "
       f"recovery entries flat at {seg(10, 'recovery_entries')} "
       f"(control: {nohk(10, 'recovery_entries')})")
 EOF
-else
-  grep -q '"e9.seg.c10.live_segments": [12]\b' BENCH_4.json ||
-    { echo "e9.seg.c10.live_segments missing or > 2"; exit 1; }
-  echo "reclamation ok (python3 unavailable; key presence checked only)"
-fi
 
 echo "== bench smoke: e10 --metrics-json -> BENCH_5.json =="
 # Committed artifact: e10 drives the Rs_load generator over virtual time
@@ -155,8 +137,7 @@ echo "== bench smoke: e10 --metrics-json -> BENCH_5.json =="
 # tail latency stays bounded, and open-loop overload shows shedding.
 dune exec bench/main.exe -- e10 --metrics-json BENCH_5.json >/dev/null
 
-if command -v python3 >/dev/null 2>&1; then
-  python3 - BENCH_5.json <<'EOF'
+python3 - BENCH_5.json <<'EOF'
 import json, sys
 g = json.load(open(sys.argv[1]))["gauges"]
 thr32 = g["e10.conc32.throughput_x1000"]
@@ -171,11 +152,6 @@ print(f"load ok: conc1->32 committed {c1}->{c32}, "
       f"throughput {thr32/1000:.3f}/unit, p99 {p99:.1f}, "
       f"sheds {g['e10.open80.sheds']}")
 EOF
-else
-  grep -q '"e10.conc32.throughput_x1000": [1-9]' BENCH_5.json ||
-    { echo "e10.conc32.throughput_x1000 missing or zero"; exit 1; }
-  echo "load ok (python3 unavailable; key presence checked only)"
-fi
 
 echo "== bench smoke: e11 --metrics-json -> BENCH_6.json =="
 # Committed artifact: e11 sweeps the Rs_dir placement directory over
@@ -185,8 +161,7 @@ echo "== bench smoke: e11 --metrics-json -> BENCH_6.json =="
 # count, with and without a 10% cross-shard 2PC mix.
 dune exec bench/main.exe -- e11 --metrics-json BENCH_6.json >/dev/null
 
-if command -v python3 >/dev/null 2>&1; then
-  python3 - BENCH_6.json <<'EOF'
+python3 - BENCH_6.json <<'EOF'
 import json, sys
 g = json.load(open(sys.argv[1]))["gauges"]
 for cross in (0, 10):
@@ -195,11 +170,6 @@ for cross in (0, 10):
         f"committed not increasing with shards at {cross}% cross: {series}"
     print(f"shards ok at {cross}% cross: committed 1->2->4->8 shards = {series}")
 EOF
-else
-  grep -q '"e11.s8.x10.committed": [1-9]' BENCH_6.json ||
-    { echo "e11.s8.x10.committed missing or zero"; exit 1; }
-  echo "shards ok (python3 unavailable; key presence checked only)"
-fi
 
 echo "== bench smoke: e12 --metrics-json, checked against BENCH_7.json =="
 # Committed artifact: e12 measures the replication pair — ship overhead
@@ -212,14 +182,14 @@ echo "== bench smoke: e12 --metrics-json, checked against BENCH_7.json =="
 # e12.*.us gauges.
 dune exec bench/main.exe -- e12 --metrics-json "$BENCH_TMP/BENCH_7.json" >/dev/null
 
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$BENCH_TMP/BENCH_7.json" <<'EOF'
+python3 - "$BENCH_TMP/BENCH_7.json" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
 g, c = d["gauges"], d["counters"]
 assert g["e12.repl.committed"] == g["e12.solo.committed"] > 0, \
     "replication changed the committed count"
-assert g["e12.ship_bytes"] > 0 and c["repl.applies"] > 0, "nothing was shipped"
+assert g["e12.ship_bytes"] > 0 and c["repl.ship_bytes"] > 0 and c["repl.applies"] > 0, \
+    "nothing was shipped"
 cold, fo = g["e12.cold.us"], g["e12.failover.us"]
 assert g["e12.cold.entries"] > 0, "cold restart replayed no entries"
 assert fo < cold, \
@@ -227,12 +197,7 @@ assert fo < cold, \
 print(f"repl ok: {g['e12.ship_bytes']} bytes shipped, failover {fo}us < "
       f"cold {cold}us over {g['e12.cold.entries']} replayed entries")
 EOF
-  same_as_committed "$BENCH_TMP/BENCH_7.json" BENCH_7.json 'e12\..*\.us'
-else
-  grep -q '"repl.ship_bytes": [1-9]' "$BENCH_TMP/BENCH_7.json" ||
-    { echo "repl.ship_bytes missing or zero"; exit 1; }
-  echo "repl ok (python3 unavailable; key presence checked only)"
-fi
+same_as_committed "$BENCH_TMP/BENCH_7.json" BENCH_7.json 'e12\..*\.us'
 
 echo "== bench smoke: e13 --metrics-json, checked against BENCH_8.json =="
 # Committed artifact: e13 measures bounded restart. Entry and read-op
@@ -242,8 +207,7 @@ echo "== bench smoke: e13 --metrics-json, checked against BENCH_8.json =="
 # equal BENCH_8.json except for the e13.*_us gauges.
 dune exec bench/main.exe -- e13 --metrics-json "$BENCH_TMP/BENCH_8.json" >/dev/null
 
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$BENCH_TMP/BENCH_8.json" <<'EOF'
+python3 - "$BENCH_TMP/BENCH_8.json" <<'EOF'
 import json, sys
 g = json.load(open(sys.argv[1]))["gauges"]
 # Incremental checkpointing bounds the live log: entries visited and log
@@ -269,15 +233,7 @@ print(f"bounded restart ok: inc flat at {g['e13.inc.c10.entries']} entries while
       f"nohk grew to {g['e13.nohk.c10.entries']}; scan {scan} read ops vs "
       f"serial {ser} ({pus}us vs {sus}us)")
 EOF
-  same_as_committed "$BENCH_TMP/BENCH_8.json" BENCH_8.json 'e13\..*_us'
-else
-  grep -q '"e13.inc.c10.entries": ' "$BENCH_TMP/BENCH_8.json" ||
-    { echo "e13 gauges missing"; exit 1; }
-  [ "$(grep -o '"e13.inc.c10.entries": [0-9]*' "$BENCH_TMP/BENCH_8.json" | grep -o '[0-9]*$')" = \
-    "$(grep -o '"e13.inc.c2.entries": [0-9]*' "$BENCH_TMP/BENCH_8.json" | grep -o '[0-9]*$')" ] ||
-    { echo "inc recovery entries not flat across cycles"; exit 1; }
-  echo "bounded restart ok (python3 unavailable; flatness checked only)"
-fi
+same_as_committed "$BENCH_TMP/BENCH_8.json" BENCH_8.json 'e13\..*_us'
 
 echo "== bench smoke: e14 --metrics-json -> BENCH_9.json =="
 # Committed artifact: e14 runs the nemesis — seeded fault schedules
@@ -287,8 +243,7 @@ echo "== bench smoke: e14 --metrics-json -> BENCH_9.json =="
 # reports zero oracle/monitor violations, and the repl row promoted.
 dune exec bench/main.exe -- e14 --metrics-json BENCH_9.json >/dev/null
 
-if command -v python3 >/dev/null 2>&1; then
-  python3 - BENCH_9.json <<'EOF'
+python3 - BENCH_9.json <<'EOF'
 import json, sys
 g = json.load(open(sys.argv[1]))["gauges"]
 for p in ("synthetic", "bank", "reservation", "queue", "saga", "repl"):
@@ -302,13 +257,6 @@ print("nemesis ok: all 6 profiles clean under fault schedules, "
       f"repl promoted, e.g. bank committed={g['e14.bank.committed']} "
       f"with downtime={g['e14.bank.downtime_x10']/10}")
 EOF
-else
-  for p in synthetic bank reservation queue saga repl; do
-    grep -q "\"e14.$p.violations\": 0" BENCH_9.json ||
-      { echo "e14.$p.violations missing or nonzero"; exit 1; }
-  done
-  echo "nemesis ok (python3 unavailable; zero-violation keys checked only)"
-fi
 
 echo "== bench smoke: e15 --metrics-json -> BENCH_10.json =="
 # Committed artifact: e15 sweeps a 90/10 read-mostly closed loop over
@@ -320,8 +268,7 @@ echo "== bench smoke: e15 --metrics-json -> BENCH_10.json =="
 # locked row and the e10 all-update locked baseline (p99 48.7).
 dune exec bench/main.exe -- e15 --metrics-json BENCH_10.json >/dev/null
 
-if command -v python3 >/dev/null 2>&1; then
-  python3 - BENCH_10.json <<'EOF'
+python3 - BENCH_10.json <<'EOF'
 import json, sys
 g = json.load(open(sys.argv[1]))["gauges"]
 for c in (1, 4, 8, 16, 32):
@@ -346,17 +293,6 @@ print(f"mvcc ok: zero read locks & zero read aborts at every concurrency, "
       f"reads committed {g['e15.mvcc.c32.reads_committed']} vs "
       f"locked {g['e15.locked.c32.reads_committed']}")
 EOF
-else
-  for c in 1 4 8 16 32; do
-    grep -q "\"e15.mvcc.c$c.read_locks\": 0" BENCH_10.json ||
-      { echo "e15.mvcc.c$c.read_locks missing or nonzero"; exit 1; }
-    grep -q "\"e15.mvcc.c$c.reads_aborted\": 0" BENCH_10.json ||
-      { echo "e15.mvcc.c$c.reads_aborted missing or nonzero"; exit 1; }
-  done
-  grep -q '"e15.mvcc.c32.reads_committed": [1-9]' BENCH_10.json ||
-    { echo "e15.mvcc.c32.reads_committed missing or zero"; exit 1; }
-  echo "mvcc ok (python3 unavailable; zero-lock/zero-abort keys checked only)"
-fi
 
 echo "== nemesis gate: seeded fault schedules clean for every profile =="
 for profile in synthetic bank reservation queue saga; do

@@ -19,6 +19,12 @@ let m_recoveries = Metrics.counter "hybrid_rs.recoveries"
 let m_recovery_entries = Metrics.counter "hybrid_rs.recovery_entries"
 let m_housekeepings = Metrics.counter "hybrid_rs.housekeepings"
 let h_checkpoint = Metrics.histogram "hybrid_rs.checkpoint_entries"
+let span_prepare = Span.make "prepare.hybrid"
+let span_commit = Span.make "commit.hybrid"
+let span_recover = Span.make "recover.hybrid"
+let span_recover_parallel = Span.make "recover.hybrid.parallel"
+let span_compaction = Span.make "housekeep.compaction"
+let span_snapshot = Span.make "housekeep.snapshot"
 
 type addr = Log_entry.addr
 
@@ -131,7 +137,7 @@ let pending_pairs = pairs_of
    this action's state transition (e.g. a commit issued from a prepare's
    [on_durable]). *)
 let prepare ?on_durable t aid mos =
-  Span.run "prepare.hybrid" @@ fun () ->
+  Span.run span_prepare @@ fun () ->
   Metrics.incr m_prepares;
   ignore (write_mos t aid mos);
   let pairs = pairs_of t aid in
@@ -142,7 +148,7 @@ let prepare ?on_durable t aid mos =
        (Log_entry.Prepared { aid; pairs = Some pairs; prev = None }))
 
 let commit ?on_durable t aid =
-  Span.run "commit.hybrid" @@ fun () ->
+  Span.run span_commit @@ fun () ->
   Metrics.incr m_commits;
   Aid.Tbl.remove t.pat aid;
   ignore (append_outcome ~force:true ?on_durable t (Log_entry.Committed { aid; prev = None }))
@@ -247,7 +253,7 @@ let assemble ~heap ~dir ~log ~ctx ~head =
   (t, info)
 
 let recover source_dir =
-  Span.run "recover.hybrid" @@ fun () ->
+  Span.run span_recover @@ fun () ->
   Metrics.incr m_recoveries;
   let dir = Log_dir.open_ source_dir in
   let log = Log_dir.current dir in
@@ -289,7 +295,7 @@ let recover source_dir =
    live bytes plus the fetched data entries, so restart time is bounded
    by live data, not history. *)
 let recover_parallel ?stats source_dir =
-  Span.run "recover.hybrid.parallel" @@ fun () ->
+  Span.run span_recover_parallel @@ fun () ->
   Metrics.incr m_recoveries;
   let dir = Log_dir.open_ source_dir in
   let log = Log_dir.current dir in
@@ -772,6 +778,7 @@ let finish_housekeeping (t : t) (job : job) =
   done
 
 let housekeep t technique =
-  Span.run ("housekeep." ^ technique_name technique) @@ fun () ->
+  let span = match technique with Compaction -> span_compaction | Snapshot -> span_snapshot in
+  Span.run span @@ fun () ->
   let job = begin_housekeeping t technique in
   finish_housekeeping t job

@@ -13,6 +13,7 @@ let m_commits = Metrics.counter "shadow_rs.commits"
 let m_aborts = Metrics.counter "shadow_rs.aborts"
 let m_recoveries = Metrics.counter "shadow_rs.recoveries"
 let m_recovery_entries = Metrics.counter "shadow_rs.recovery_entries"
+let span_recover = Span.make "recover.shadow"
 
 type addr = Log_entry.addr
 
@@ -251,7 +252,7 @@ let fetch_data log a =
       failwith "Shadow_rs: map points at a non-data entry"
 
 let recover old =
-  Span.run "recover.shadow" @@ fun () ->
+  Span.run span_recover @@ fun () ->
   Metrics.incr m_recoveries;
   let stores = old.stores in
   Store.recover stores.root;

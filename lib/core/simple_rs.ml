@@ -18,6 +18,8 @@ let m_recoveries = Metrics.counter "simple_rs.recoveries"
 let m_recovery_entries = Metrics.counter "simple_rs.recovery_entries"
 let m_snapshots = Metrics.counter "simple_rs.snapshots"
 let h_checkpoint = Metrics.histogram "simple_rs.checkpoint_entries"
+let span_recover = Span.make "recover.simple"
+let span_housekeep = Span.make "housekeep.simple"
 
 type t = {
   heap : Heap.t;
@@ -128,7 +130,7 @@ let fetch_data log a =
       failwith "Simple_rs: CSSL points at a non-data entry"
 
 let recover dir =
-  Span.run "recover.simple" @@ fun () ->
+  Span.run span_recover @@ fun () ->
   Metrics.incr m_recoveries;
   let dir = Log_dir.open_ dir in
   let log = Log_dir.current dir in
@@ -302,7 +304,7 @@ let finish_snapshot t job =
   Fsched.flush t.sched
 
 let housekeep t =
-  Span.run "housekeep.simple" @@ fun () ->
+  Span.run span_housekeep @@ fun () ->
   Metrics.incr m_snapshots;
   let job = begin_snapshot t in
   finish_snapshot t job;

@@ -313,16 +313,10 @@ let snapshot_legal_on records =
     records;
   List.rev !violations
 
-let commit_implies_durable () = commit_implies_durable_on (Trace.events ())
-let repl_ship_order () = repl_ship_order_on (Trace.events ())
-let log_monotonic () = log_monotonic_on (Trace.events ())
-let lock_legal () = lock_legal_on (Trace.events ())
-let handle_liveness () = handle_liveness_on (Trace.events ())
-let snapshot_legal () = snapshot_legal_on (Trace.events ())
-
 let check () =
-  commit_implies_durable () @ repl_ship_order () @ log_monotonic () @ lock_legal ()
-  @ handle_liveness () @ snapshot_legal ()
+  let rs = Trace.events () in
+  commit_implies_durable_on rs @ repl_ship_order_on rs @ log_monotonic_on rs @ lock_legal_on rs
+  @ handle_liveness_on rs @ snapshot_legal_on rs
 
 let assert_ok ~where () =
   match check () with

@@ -49,21 +49,30 @@ type event =
 
 type record = { seq : int; time : float; event : event }
 
-(* The ring. A [None] cell was never written; once the buffer wraps, the
-   oldest cells are overwritten in place. *)
+(* The ring: two parallel arrays indexed by [seq mod capacity], so an
+   emit writes one event pointer and one unboxed float and allocates no
+   record. Sequence numbers are not stored: the buffered events are the
+   seqs [max first (next_seq - capacity)] to [next_seq - 1], where [first]
+   is the seq at the last [clear] or [set_capacity]. Unwritten and
+   dropped cells hold [filler], so the ring keeps no dead event alive. *)
 type state = {
-  mutable ring : record option array;
+  mutable events : event array;
+  mutable times : Float.Array.t;
+  mutable first : int;
   mutable next_seq : int;
   mutable clock : unit -> float;
   mutable enabled : bool;
-  mutable echo : bool;
+  echo : bool;
 }
 
 let zero_clock () = 0.0
+let filler = Note ""
 
 let st =
   {
-    ring = Array.make 8192 None;
+    events = Array.make 8192 filler;
+    times = Float.Array.make 8192 0.0;
+    first = 0;
     next_seq = 0;
     clock = zero_clock;
     enabled = true;
@@ -76,11 +85,12 @@ let now () = st.clock ()
 
 let set_capacity n =
   if n <= 0 then invalid_arg "Trace.set_capacity: capacity must be positive";
-  st.ring <- Array.make n None
+  st.events <- Array.make n filler;
+  st.times <- Float.Array.make n 0.0;
+  st.first <- st.next_seq
 
 let set_enabled b = st.enabled <- b
 let enabled () = st.enabled
-let set_echo b = st.echo <- b
 
 let pp_lock_kind fmt = function
   | Read -> Format.pp_print_string fmt "read"
@@ -165,25 +175,29 @@ let pp_record fmt r = Format.fprintf fmt "#%-6d t=%-12g %a" r.seq r.time pp_even
 
 let emit ev =
   if st.enabled then begin
-    let r = { seq = st.next_seq; time = st.clock (); event = ev } in
-    st.next_seq <- st.next_seq + 1;
-    st.ring.(r.seq mod Array.length st.ring) <- Some r;
-    if st.echo then Format.eprintf "[trace] %a@." pp_record r
+    let seq = st.next_seq in
+    let i = seq mod Array.length st.events in
+    let time = st.clock () in
+    st.events.(i) <- ev;
+    Float.Array.set st.times i time;
+    st.next_seq <- seq + 1;
+    if st.echo then Format.eprintf "[trace] %a@." pp_record { seq; time; event = ev }
   end
 
 let total () = st.next_seq
 
 let events () =
-  let cap = Array.length st.ring in
-  let first = max 0 (st.next_seq - cap) in
+  let cap = Array.length st.events in
   let acc = ref [] in
-  for seq = st.next_seq - 1 downto first do
-    match st.ring.(seq mod cap) with Some r when r.seq = seq -> acc := r :: !acc | _ -> ()
+  for seq = st.next_seq - 1 downto max st.first (st.next_seq - cap) do
+    let i = seq mod cap in
+    acc := { seq; time = Float.Array.get st.times i; event = st.events.(i) } :: !acc
   done;
   !acc
 
 let clear () =
-  Array.fill st.ring 0 (Array.length st.ring) None;
+  Array.fill st.events 0 (Array.length st.events) filler;
+  st.first <- 0;
   st.next_seq <- 0
 
 let to_string () =

@@ -7,6 +7,14 @@
     traces — the "tracking in order to recover" discipline: recovery cost
     claims are argued from the trace of what recovery actually touched.
 
+    The ring is two parallel arrays indexed by [seq mod capacity]: the
+    events and their times (a [Float.Array.t], unboxed). Sequence numbers
+    are derived, not stored, so {!emit} writes one pointer and one float
+    and allocates nothing itself: 0 minor words under the default clock,
+    and only the clock's boxed float (2 words) under an injected one. The
+    event value is the caller's only allocation; a prebuilt event costs
+    none. {!events} builds the [record]s on demand.
+
     Setting the [RS_TRACE] environment variable additionally echoes every
     event to stderr as it is emitted (the switch the ad-hoc prints this
     module replaced used). *)
@@ -121,19 +129,21 @@ val now : unit -> float
 (** Current virtual time as the trace sees it. *)
 
 val set_capacity : int -> unit
-(** Resize the ring (default 8192 events); drops all buffered events. *)
+(** Resize the ring (default 8192 events); drops all buffered events.
+    Sequence numbering continues ({!total} is not reset). *)
 
 val set_enabled : bool -> unit
 (** Master switch; emission is a no-op when disabled (default enabled). *)
 
 val enabled : unit -> bool
-(** Guard for call sites whose event {e construction} is itself costly
-    (string formatting on hot paths). *)
-
-val set_echo : bool -> unit
-(** Force stderr echo on/off (initialized from [RS_TRACE]). *)
+(** Guard for call sites that would build an event only to drop it.
+    Building one is cheap: gid and aid labels come from
+    [Gid.to_string]/[Aid.to_string] (0 and at most 8 minor words), not
+    from a formatter, so the guard saves little and the ring stays on. *)
 
 val emit : event -> unit
+(** Append one event, stamped with the next sequence number and {!now},
+    overwriting the oldest once the ring is full. *)
 
 val events : unit -> record list
 (** Buffered events, oldest first (at most capacity; earlier events are

@@ -3,6 +3,7 @@ module Span = Rs_obs.Span
 
 let m_group_commits = Metrics.counter "slog.group_commits"
 let h_batch_entries = Metrics.histogram "slog.batch_entries"
+let span_force = Span.make "force"
 
 type timer = delay:float -> (unit -> unit) -> unit
 
@@ -42,7 +43,7 @@ let flush t =
     let covered = t.n_waiters in
     t.waiters <- [];
     t.n_waiters <- 0;
-    Span.run "force" (fun () -> Stable_log.force t.log);
+    Span.run span_force (fun () -> Stable_log.force t.log);
     Metrics.incr m_group_commits;
     Metrics.observe h_batch_entries covered;
     (* The covering force is stable, so every token in the batch is owed

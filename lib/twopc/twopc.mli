@@ -25,7 +25,12 @@ type msg =
   | Aborted_ack of Rs_util.Aid.t
   | Query of Rs_util.Aid.t  (** prepared participant asks for the verdict *)
 
+val msg_to_string : msg -> string
+(** ["<kind>(T<g>.<seq>)"], e.g. ["prepare(T0.3)"]: the text of the
+    [Twopc_send]/[Twopc_recv] trace events. *)
+
 val pp_msg : Format.formatter -> msg -> unit
+(** Prints {!msg_to_string}. *)
 
 (** How the protocol touches the guardian it runs in. Every callback
     corresponds to a recovery-system operation of §2.3 (plus volatile

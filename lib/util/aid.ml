@@ -14,7 +14,30 @@ let compare a b =
   | c -> c
 
 let hash t = (Gid.hash t.coordinator * 1000003) + t.seq
-let pp fmt t = Format.fprintf fmt "T%d.%d" (Gid.to_int t.coordinator) t.seq
+
+let digits n =
+  let rec go n d = if n < 10 then d else go (n / 10) (d + 1) in
+  go n 1
+
+(* The coordinator's shared "G<g>" label supplies the "<g>" digits; the
+   seq digits are written right to left. For a memoised gid the result
+   is the only allocation. *)
+let to_string t =
+  let g = Gid.to_string t.coordinator in
+  let gl = String.length g in
+  let sl = digits t.seq in
+  let b = Bytes.create (gl + 1 + sl) in
+  Bytes.set b 0 'T';
+  Bytes.blit_string g 1 b 1 (gl - 1);
+  Bytes.set b gl '.';
+  let n = ref t.seq in
+  for i = gl + sl downto gl + 1 do
+    Bytes.set b i (Char.chr (48 + (!n mod 10)));
+    n := !n / 10
+  done;
+  Bytes.unsafe_to_string b
+
+let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 module Ord = struct
   type nonrec t = t

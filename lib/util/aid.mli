@@ -15,7 +15,15 @@ val seq : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+
+val to_string : t -> string
+(** ["T<g>.<seq>"] where [g] is the coordinator's number, the label traces
+    and logs use. Built without a formatter: for a coordinator below 4096
+    (see {!Gid.to_string}) the result is the only allocation, at most 8
+    minor words. *)
+
 val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

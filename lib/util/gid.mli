@@ -12,7 +12,14 @@ val to_int : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+
+val to_string : t -> string
+(** ["G<n>"], the label traces and logs use. Labels of gids below 4096
+    are memoised and shared, so the call allocates nothing after the
+    first one for a given gid. *)
+
 val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

@@ -280,7 +280,7 @@ let test_barging_mutation_caught () =
     let t = Load.create cfg in
     Load.start t;
     ignore (Load.drain t);
-    Monitor.lock_legal ()
+    Monitor.lock_legal_on (Trace.events ())
   in
   Alcotest.(check int) "clean run has no lock violations" 0
     (List.length (lock_violations false));

@@ -146,6 +146,20 @@ let scenario seed =
   Trace.clear_clock ();
   (trace, metrics)
 
+(* The registry's non-zero lines, trailing commas dropped. Zero entries
+   depend on what ran earlier in the process (registration outlives
+   [Metrics.reset]); the rest is the scenario's own. *)
+let nonzero_metrics json =
+  String.split_on_char '\n' json
+  |> List.filter_map (fun line ->
+         let line =
+           if String.ends_with ~suffix:"," line then String.sub line 0 (String.length line - 1)
+           else line
+         in
+         if String.ends_with ~suffix:": 0" line || contains line "\"count\": 0," then None
+         else Some line)
+  |> String.concat "\n"
+
 let test_trace_determinism () =
   let trace1, metrics1 = scenario 42 in
   let trace2, metrics2 = scenario 42 in
@@ -156,7 +170,13 @@ let test_trace_determinism () =
   Alcotest.(check bool) "crash recorded" true (contains trace1 "crash{gid=G1}");
   Alcotest.(check bool) "restart recorded" true (contains trace1 "restart{gid=G1");
   Alcotest.(check bool) "recovery scan recorded" true
-    (contains trace1 "recovery_scan{system=hybrid")
+    (contains trace1 "recovery_scan{system=hybrid");
+  (* Pinned: any change to a label byte, or to a counter, histogram or
+     span value of this scenario, fails here. *)
+  Alcotest.(check string) "trace digest" "8e55707d0b86b8738f0d355ce7f5e533"
+    (Digest.to_hex (Digest.string trace1));
+  Alcotest.(check string) "metrics digest" "4e134fd48200b283cbc21f7e2ba08d51"
+    (Digest.to_hex (Digest.string (nonzero_metrics metrics1)))
 
 let test_different_seed_differs () =
   (* Jitter makes message timing seed-dependent, so a different seed must
@@ -191,16 +211,101 @@ let test_repl_monitor_reset_window () =
   Alcotest.(check int) "without a reset every dip is a violation" 3
     (List.length (Rs_obs.Monitor.repl_ship_order_on no_reset))
 
+(* A clock that reads 0.5 per event emitted so far, so each record's time
+   identifies the event it belongs to. *)
+let with_ticking_clock f =
+  let ticks = ref 0 in
+  Trace.set_clock (fun () ->
+      incr ticks;
+      float_of_int !ticks *. 0.5);
+  Fun.protect f ~finally:(fun () ->
+      Trace.clear_clock ();
+      Trace.set_capacity 8192;
+      Trace.clear ())
+
+let notes () =
+  List.map
+    (fun r -> match r.Trace.event with Trace.Note s -> (r.Trace.seq, r.time, s) | _ -> (-1, 0., ""))
+    (Trace.events ())
+
+let note_rows = Alcotest.(list (triple int (float 0.) string))
+
 let test_ring_overwrites_oldest () =
+  with_ticking_clock @@ fun () ->
   Trace.clear ();
   Trace.set_capacity 4;
   for i = 0 to 9 do
     Trace.emit (Trace.Note (string_of_int i))
   done;
-  let seqs = List.map (fun r -> r.Trace.seq) (Trace.events ()) in
-  Alcotest.(check (list int)) "last 4 survive, oldest first" [ 6; 7; 8; 9 ] seqs;
-  Alcotest.(check int) "total counts overwritten too" 10 (Trace.total ());
-  Trace.set_capacity 8192;
+  Alcotest.check note_rows "last 4 survive, oldest first, with their seq and time"
+    [ (6, 3.5, "6"); (7, 4.0, "7"); (8, 4.5, "8"); (9, 5.0, "9") ]
+    (notes ());
+  Alcotest.(check int) "total counts overwritten too" 10 (Trace.total ())
+
+let test_ring_capacity_and_clear () =
+  with_ticking_clock @@ fun () ->
+  Trace.clear ();
+  List.iter (fun s -> Trace.emit (Trace.Note s)) [ "a"; "b"; "c" ];
+  Trace.set_capacity 4;
+  Alcotest.check note_rows "set_capacity drops buffered events" [] (notes ());
+  Alcotest.(check int) "but not the count" 3 (Trace.total ());
+  List.iter (fun s -> Trace.emit (Trace.Note s)) [ "d"; "e"; "f"; "g"; "h" ];
+  Alcotest.check note_rows "seq numbering continues across set_capacity"
+    [ (4, 2.5, "e"); (5, 3.0, "f"); (6, 3.5, "g"); (7, 4.0, "h") ]
+    (notes ());
+  Trace.clear ();
+  Alcotest.check note_rows "clear empties the ring" [] (notes ());
+  Alcotest.(check int) "clear resets the count" 0 (Trace.total ());
+  Trace.emit (Trace.Note "i");
+  Alcotest.check note_rows "clear resets seq to 0" [ (0, 4.5, "i") ] (notes ())
+
+(* Words per warm [emit] of a prebuilt event: the ring itself allocates
+   nothing; a float-returning clock costs its boxed result. *)
+let emit_words () =
+  let ev = Trace.Note "prebuilt" in
+  Trace.emit ev;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    Trace.emit ev
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_emit_allocation () =
+  Trace.clear ();
+  let zero = emit_words () in
+  let ticks = ref 0 in
+  Trace.set_clock (fun () ->
+      incr ticks;
+      float_of_int !ticks);
+  let float_clock = Fun.protect emit_words ~finally:Trace.clear_clock in
+  Trace.clear ();
+  Alcotest.(check bool)
+    (Printf.sprintf "zero clock: %.2f words per emit (< 1)" zero)
+    true (zero < 1.);
+  Alcotest.(check bool)
+    (Printf.sprintf "float clock: %.2f words per emit (<= 2)" float_clock)
+    true (float_clock <= 2.)
+
+let span_key = "span.test.lazy_registration"
+
+let test_span_registers_on_first_run () =
+  let s = Rs_obs.Span.make "test.lazy_registration" in
+  Alcotest.(check (option int)) "no key before the first run" None
+    (Metrics.find_counter Metrics.default span_key);
+  Trace.clear ();
+  Rs_obs.Span.run s ignore;
+  Rs_obs.Span.run s ignore;
+  Alcotest.(check (option int)) "counted once per run" (Some 2)
+    (Metrics.find_counter Metrics.default span_key);
+  Alcotest.(check (list string)) "bracketed in the trace"
+    [
+      "span_begin{test.lazy_registration}";
+      "span_end{test.lazy_registration}";
+      "span_begin{test.lazy_registration}";
+      "span_end{test.lazy_registration}";
+    ]
+    (List.map (fun r -> Format.asprintf "%a" Trace.pp_event r.Trace.event) (Trace.events ()));
   Trace.clear ()
 
 let suite =
@@ -212,6 +317,9 @@ let suite =
     Alcotest.test_case "default bucket boundaries" `Quick test_default_bucket_boundaries;
     Alcotest.test_case "to_json and reset" `Quick test_to_json_and_reset;
     Alcotest.test_case "trace ring overwrites oldest" `Quick test_ring_overwrites_oldest;
+    Alcotest.test_case "trace ring capacity and clear" `Quick test_ring_capacity_and_clear;
+    Alcotest.test_case "trace emit allocation" `Quick test_emit_allocation;
+    Alcotest.test_case "span registers on first run" `Quick test_span_registers_on_first_run;
     Alcotest.test_case "repl monitor: reset forgiveness is a threshold" `Quick
       test_repl_monitor_reset_window;
     Alcotest.test_case "seeded scenario is deterministic" `Quick test_trace_determinism;

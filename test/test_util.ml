@@ -281,6 +281,66 @@ let test_lru_edge_cases () =
   ignore (Lru.put c1 "z" 3);
   Alcotest.(check (list string)) "usable after emptying" [ "z" ] (Lru.keys c1)
 
+(* Trace events carry these labels; they must keep the exact bytes the
+   old ["G%d"] / ["T%d.%d"] formatters produced. *)
+let label_int =
+  QCheck.(
+    oneof [ oneofl [ 0; 1; 9; 10; 99; 100; 4095; 4096; max_int ]; small_nat; int_range 0 max_int ])
+
+let prop_labels =
+  QCheck.Test.make ~name:"gid/aid labels match the old formats" ~count:1000
+    QCheck.(pair label_int label_int)
+    (fun (g, s) ->
+      let gid = Gid.of_int g in
+      let aid = Aid.make ~coordinator:gid ~seq:s in
+      Gid.to_string gid = Format.asprintf "G%d" g
+      && Aid.to_string aid = Format.asprintf "T%d.%d" g s
+      && Format.asprintf "%a" Gid.pp gid = Gid.to_string gid
+      && Format.asprintf "%a" Aid.pp aid = Aid.to_string aid)
+
+let test_twopc_msg_text () =
+  let module T = Rs_twopc.Twopc in
+  List.iter
+    (fun (g, s) ->
+      let a = Aid.make ~coordinator:(Gid.of_int g) ~seq:s in
+      List.iter
+        (fun (kind, msg) ->
+          (* the old [pp_msg]: [Format.fprintf fmt "%s(%a)" kind Aid.pp a] *)
+          let old = Format.asprintf "%s(T%d.%d)" kind g s in
+          Alcotest.(check string) kind old (T.msg_to_string msg);
+          Alcotest.(check string) (kind ^ " via pp_msg") old (Format.asprintf "%a" T.pp_msg msg))
+        [
+          ("prepare", T.Prepare a);
+          ("prepared", T.Prepared_reply a);
+          ("refused", T.Refused_reply a);
+          ("commit", T.Commit a);
+          ("committed", T.Committed_ack a);
+          ("abort", T.Abort a);
+          ("aborted", T.Aborted_ack a);
+          ("query", T.Query a);
+        ])
+    [ (0, 0); (1, 9); (10, 10); (4096, 123456789) ]
+
+let test_label_allocation () =
+  let gid = Gid.of_int 4095 in
+  let aid = Aid.make ~coordinator:gid ~seq:max_int in
+  let per_call f =
+    ignore (Sys.opaque_identity (f ()));
+    let n = 1000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let gw = per_call (fun () -> Gid.to_string gid) in
+  let aw = per_call (fun () -> Aid.to_string aid) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Gid.to_string allocates %.2f words (0)" gw)
+    true (gw < 0.1);
+  Alcotest.(check bool) (Printf.sprintf "Aid.to_string allocates %.2f words (<= 8)" aw) true
+    (aw <= 8.)
+
 (* Property: varint roundtrips for arbitrary ints. *)
 let prop_varint =
   QCheck.Test.make ~name:"varint roundtrip" ~count:1000 QCheck.int (fun v ->
@@ -309,9 +369,12 @@ let suite =
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "uid generator" `Quick test_uid_gen;
     Alcotest.test_case "aid generator" `Quick test_aid_gen;
+    Alcotest.test_case "twopc message text" `Quick test_twopc_msg_text;
+    Alcotest.test_case "label allocation" `Quick test_label_allocation;
     Alcotest.test_case "lru eviction order" `Quick test_lru_eviction_order;
     Alcotest.test_case "lru edge cases" `Quick test_lru_edge_cases;
     QCheck_alcotest.to_alcotest prop_varint;
     QCheck_alcotest.to_alcotest prop_string;
     QCheck_alcotest.to_alcotest prop_crc32_reference;
+    QCheck_alcotest.to_alcotest prop_labels;
   ]
